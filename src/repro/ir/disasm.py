@@ -79,6 +79,18 @@ def format_instruction(instr: Instruction) -> str:
         return "!hwc.restore"
     if kind == Kind.EDGE_COUNT:
         return f"!edge.count {instr.edge} -> table{instr.table}"
+    if kind == Kind.K_PATH_ADD:
+        return f"!kpath.add r{instr.reg}, k={instr.k}, values={list(instr.values)}"
+    if kind == Kind.K_HWC_CYCLE:
+        return (
+            f"!khwc.cycle r{instr.reg}+{instr.end} -> table{instr.table}, "
+            f"k={instr.k}, cross={list(instr.cross)}, start={instr.start}"
+        )
+    if kind == Kind.K_HWC_EXIT:
+        return (
+            f"!khwc.exit r{instr.reg}+{list(instr.values)} -> table{instr.table}, "
+            f"k={instr.k}"
+        )
     if kind == Kind.CCT_ENTER:
         return f"!cct.enter {instr.proc}, slots={instr.nslots}"
     if kind == Kind.CCT_CALL:

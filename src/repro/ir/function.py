@@ -35,26 +35,23 @@ _EDIT_GENERATIONS = itertools.count(1)
 class Block:
     """A basic block: straight-line instructions ending in one terminator."""
 
-    __slots__ = ("name", "instrs", "edit_gen", "_decode_cache", "_trace_cache")
+    __slots__ = ("name", "instrs", "edit_gen", "_trace_cache")
 
     def __init__(self, name: str, instrs: Optional[List[Instruction]] = None):
         self.name = name
         self.instrs: List[Instruction] = instrs if instrs is not None else []
         #: Edit generation: bumped by :meth:`note_edit` whenever the
-        #: instruction list is spliced or rebound.  The decode caches of
-        #: :mod:`repro.machine.engine` validate against this (plus the
-        #: list length as a belt-and-braces check), never against
-        #: ``id(instrs)``.
+        #: instruction list is spliced or rebound.  Each machine's
+        #: decoded blocks validate against this (plus the list length
+        #: as a belt-and-braces check), never against ``id(instrs)``.
+        #: The compiled code beneath them needs no generation: the
+        #: process-wide code cache of :mod:`repro.machine.engine` is
+        #: keyed by the block's content.
         self.edit_gen = 0
-        #: Compiled-code cache of :mod:`repro.machine.engine`; the
-        #: generated source depends only on the instruction list, the
-        #: block's base address, and a few config constants, so machines
-        #: simulating the same program share one compile.
-        self._decode_cache = None
         #: Compiled-trace cache of :mod:`repro.machine.trace`, keyed by
         #: the whole chain's fingerprint; lives on the chain's *head*
         #: block so machines simulating the same program share one
-        #: trace compile, exactly like ``_decode_cache``.
+        #: trace compile.
         self._trace_cache = None
 
     def note_edit(self) -> None:

@@ -66,15 +66,26 @@ splice; ``id(block.instrs)`` is unsafe — a GC'd list's id can be
 reused) plus ``len(block.instrs)``, so :mod:`repro.edit` splices
 invalidate stale entries automatically; call
 :meth:`Machine.invalidate_decoded` after any other program surgery.
-The generated source cached on the block additionally keys on a
-*probe fingerprint* — the table geometry and CCT flags baked into
-fused probes — so machines with differently-shaped runtimes never
-share compiled code.
+
+Below the per-machine binding sits one process-wide **code cache** of
+compiled block code (:data:`CODE_CACHE_MAX_BYTES`, LRU).  Its key is a
+digest of the block's *content* — function and block name, base
+address, instruction count, :func:`_config_key`, the
+:func:`_probe_key` fingerprint of the attached runtimes, and the
+``repr`` of every instruction — so an identical block in any clone,
+mode re-run or re-measure skips codegen and ``compile()``, while an
+in-place mutation changes the key with no generation involved.  Only
+the binding (``exec`` of the segment makers, closure handlers, link
+cells and fused-probe objects) runs per machine.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import math
+import zlib
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cct.records import CallRecord
@@ -182,7 +193,6 @@ class DecodedBlock:
         "edit_gen",
         "n_instrs",
         "total_icost",
-        "source",
         "runtimes",
         "key",
         "hot",
@@ -195,7 +205,6 @@ class DecodedBlock:
         edit_gen: int,
         n_instrs: int,
         total_icost: int,
-        source: str,
         runtimes: Tuple,
     ):
         self.steps = steps
@@ -209,8 +218,6 @@ class DecodedBlock:
         self.edit_gen = edit_gen
         self.n_instrs = n_instrs
         self.total_icost = total_icost
-        #: The generated segment source (kept for tests and debugging).
-        self.source = source
         #: The (path_runtime, cct_runtime) pair whose tables/records the
         #: fused probes bound; strong references on purpose, so identity
         #: comparison in ``_validate_decoded`` can never hit a recycled
@@ -1156,12 +1163,103 @@ def _probe_key(machine, instrs) -> Tuple:
     return tuple(parts)
 
 
-def _generate_block(machine, function, block, instrs, addrs):
-    """Produce (source, code, segment starts) for one block.
+#: Byte cap on the process-wide code cache: the total size of its
+#: compressed entries (about 1–2 KB each).  The benchmark's
+#: ``profile-long`` cycles through ~2.2k distinct blocks (~2.4 MB), so
+#: it fits; a 2 MiB cap would thrash that LRU cycle.
+CODE_CACHE_MAX_BYTES = 4 * 1024 * 1024
 
-    Pure in everything but ``instrs``/``addrs`` and the few config
-    constants of :func:`_config_key`, so the result is cached on the
-    block and shared by every machine simulating the same program.
+#: Raw-deflate parameters for cache entries.  A 4 KiB window and
+#: memLevel 5 keep the per-call compressor state small (a default
+#: ``zlib.compress`` allocates ~256 KiB each time).  Level 1 is the
+#: cheapest; even so, deflating an entry costs about an eighth of the
+#: codegen and ``compile()`` it caches.
+_DEFLATE_LEVEL = 1
+_DEFLATE_WBITS = -12
+_DEFLATE_MEMLEVEL = 5
+
+
+class BlockCodeCache:
+    """LRU map from content key to a compressed compiled-block blob.
+
+    Bounded by the total blob bytes: inserting past ``max_bytes``
+    evicts least-recently-used entries first.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.entries: "OrderedDict[bytes, bytes]" = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        blob = self.entries.get(key)
+        if blob is not None:
+            self.entries.move_to_end(key)
+        return blob
+
+    def put(self, key: bytes, blob: bytes) -> None:
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= len(old)
+        self.entries[key] = blob
+        self.nbytes += len(blob)
+        while self.nbytes > self.max_bytes:
+            _key, evicted = self.entries.popitem(last=False)
+            self.nbytes -= len(evicted)
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_CODE_CACHE = BlockCodeCache(CODE_CACHE_MAX_BYTES)
+
+
+def clear_code_cache() -> None:
+    """Empty the process-wide compiled-block cache (the next decode of
+    every block pays codegen and ``compile()`` again)."""
+    _CODE_CACHE.clear()
+
+
+def _code_key(machine, fname: str, bname: str, instrs, addrs) -> bytes:
+    """Content digest of everything :func:`_generate_block` reads.
+
+    Instruction ``repr``s stand in for the instructions themselves:
+    they are mutable, unhashable dataclasses, and ``==`` equates
+    ``1``, ``1.0`` and ``True`` where :func:`_literal` does not.  The
+    other addresses follow from ``addrs[0]`` and the instruction
+    classes (each class has a fixed ``icost``).
+    """
+    head = (
+        fname,
+        bname,
+        addrs[0] if addrs else 0,
+        len(instrs),
+        _config_key(machine.config),
+        _probe_key(machine, instrs),
+    )
+    digest = hashlib.blake2b(repr(head).encode(), digest_size=16)
+    digest.update("\n".join(map(repr, instrs)).encode())
+    return digest.digest()
+
+
+def _pack_code(entry: Tuple) -> bytes:
+    packer = zlib.compressobj(
+        _DEFLATE_LEVEL, zlib.DEFLATED, _DEFLATE_WBITS, _DEFLATE_MEMLEVEL
+    )
+    return packer.compress(marshal.dumps(entry)) + packer.flush()
+
+
+def _unpack_code(blob: bytes) -> Tuple:
+    return marshal.loads(zlib.decompress(blob, _DEFLATE_WBITS))
+
+
+def _generate_block(machine, function, block, instrs, addrs):
+    """Produce (code, segment starts, segment extras, link count).
+
+    Pure in everything :func:`_code_key` digests, so the result is
+    cached process-wide and shared by every machine simulating a block
+    with the same content.
     """
     fname = function.name
     line_bits = machine._icache_line_bits
@@ -1252,7 +1350,7 @@ def _generate_block(machine, function, block, instrs, addrs):
         src_parts.append("    return _seg")
     source = "\n".join(src_parts) + "\n"
     code = compile(source, f"<decoded {fname}.{block.name}>", "exec")
-    return source, code, starts, seg_extras, n_links
+    return code, starts, seg_extras, n_links
 
 
 def _resolve_probe_spec(machine, instrs, spec):
@@ -1303,35 +1401,27 @@ def _resolve_probe_spec(machine, instrs, spec):
 def decode_block(machine, function, block) -> DecodedBlock:
     """Compile one block into its step list (called once per block).
 
-    The generated source and code object are cached on the block (they
-    depend only on the instruction list, the block's base address,
-    :func:`_config_key` constants, and the :func:`_probe_key`
-    fingerprint of the attached runtimes); only the per-machine binding
-    — the ``exec`` of segment makers plus the closure handlers and
-    fused-probe objects — runs again for each machine.
+    The compiled code comes from the process-wide code cache when a
+    block with the same content was compiled before (see
+    :func:`_code_key`); only the per-machine binding — the ``exec`` of
+    segment makers plus the closure handlers and fused-probe objects —
+    runs again for each machine.
     """
     fname = function.name
     instrs = block.instrs
     addrs = machine.layout.block_addrs[(fname, block.name)]
     counts = machine.counters.counts
 
-    cache_key = (
-        block.edit_gen,
-        len(instrs),
-        addrs[0] if addrs else 0,
-        _config_key(machine.config),
-        _probe_key(machine, instrs),
-    )
     stats = machine.codegen_stats
-    cached = block._decode_cache
-    if cached is not None and cached[0] == cache_key:
-        _key, source, code, starts, seg_extras, n_links = cached
+    key = _code_key(machine, fname, block.name, instrs, addrs)
+    blob = _CODE_CACHE.get(key)
+    if blob is not None:
+        code, starts, seg_extras, n_links = _unpack_code(blob)
         stats["source_cache_hits"] += 1
     else:
-        source, code, starts, seg_extras, n_links = _generate_block(
-            machine, function, block, instrs, addrs
-        )
-        block._decode_cache = (cache_key, source, code, starts, seg_extras, n_links)
+        entry = _generate_block(machine, function, block, instrs, addrs)
+        _CODE_CACHE.put(key, _pack_code(entry))
+        code, starts, seg_extras, n_links = entry
         stats["source_cache_misses"] += 1
     stats["decoded_blocks"] += 1
 
@@ -1399,7 +1489,6 @@ def decode_block(machine, function, block) -> DecodedBlock:
         block.edit_gen,
         len(instrs),
         total_icost,
-        source,
         (machine.path_runtime, machine.cct_runtime),
     )
     decoded.key = (fname, block.name)

@@ -200,7 +200,7 @@ class Machine:
         #: Block-compilation observability (why warm runs are fast):
         #: ``decoded_blocks`` counts per-machine bindings, and the
         #: source-cache hit/miss split says how many skipped codegen
-        #: via the block-level compiled-source cache.
+        #: via the process-wide, content-keyed code cache.
         self.codegen_stats: Dict[str, int] = {
             "decoded_blocks": 0,
             "source_cache_hits": 0,
@@ -451,10 +451,11 @@ class Machine:
         supported flow — instrument first, then build the machine —
         never needs this; the per-block generation check catches
         ordinary :mod:`repro.edit` splices anyway).  Bumps every
-        block's edit generation and drops its compiled-source cache, so
-        even in-place instruction mutations the editor never saw are
-        picked up — by this machine and any other simulating the same
-        program.
+        block's edit generation and drops its compiled traces, so even
+        in-place instruction mutations the editor never saw are picked
+        up — by this machine and any other simulating the same program.
+        (Compiled block code needs no reset: its cache is keyed by the
+        block's content.)
         """
         from repro.edit.layout import assign_layout
 
@@ -467,7 +468,6 @@ class Machine:
         for function in self.program.functions.values():
             for block in function.blocks:
                 block.note_edit()
-                block._decode_cache = None
                 block._trace_cache = None
         self.layout = assign_layout(self.program)
 

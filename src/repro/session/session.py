@@ -13,7 +13,9 @@ single-pipeline invariant DESIGN.md documents.
 Observability comes for free at this layer: every phase of the
 pipeline (``clone``, ``instrument``, ``decode``, ``run``, ``collect``)
 emits a structured ``phase`` event with its wall time — and, for the
-run phase, the simulated instruction count — through the session's
+run phase, the simulated instruction count and the block-codegen
+counters (``decoded_blocks``, ``source_cache_hits``,
+``source_cache_misses``) — through the session's
 :class:`~repro.tools.runlog.RunLog`.  A session built without a log
 path swallows the events, keeping the pipeline unconditional.
 
@@ -93,12 +95,13 @@ class ProfileRun:
 class Instrumented:
     """An instrumented clone plus everything needed to attach a run.
 
-    ``program`` is shared by every run built from this bundle (so the
-    fast engine's per-block compiled-source cache stays warm across
-    passes); ``path_runtime`` is the *pristine* post-instrumentation
-    profiling runtime.  :meth:`runtimes` materializes the per-run
-    state: the pipeline's single run uses the pristine tables
-    directly, repeated benchmark passes ask for ``fresh=True`` copies.
+    ``program`` is shared by every run built from this bundle (each
+    run's machine re-binds the compiled block code, which the
+    process-wide code cache keys by block content); ``path_runtime``
+    is the *pristine* post-instrumentation profiling runtime.
+    :meth:`runtimes` materializes the per-run state: the pipeline's
+    single run uses the pristine tables directly, repeated benchmark
+    passes ask for ``fresh=True`` copies.
     """
 
     spec: ProfileSpec
@@ -257,12 +260,15 @@ class ProfileSession:
 
         started = time.perf_counter()
         result = machine.run(*args)
+        # Blocks decode lazily inside run, so its event carries the
+        # codegen work: bindings and code-cache hits/misses.
         self._phase(
             "run",
             started,
             spec,
             instructions=result.instructions,
             cycles=result.cycles,
+            **machine.codegen_stats,
         )
         if machine.engine == "trace":
             self._phase("trace_compile", started, spec, **machine.trace_stats)

@@ -9,6 +9,7 @@ input set, and (for path profiles) the same Ball–Larus numbering.
 Layout under the store root::
 
     index.json                  the lookup/listing index (atomic rewrites)
+    index.json.lock             flock held by index writers
     objects/<aa>/<digest>.json  content-addressed blobs
 
 Every artifact — the run record itself, the CCT dump, the flat path
@@ -24,9 +25,11 @@ wrong profile.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -167,6 +170,21 @@ class ProfileStore:
     def index_path(self) -> str:
         return os.path.join(self.root, INDEX_NAME)
 
+    @contextmanager
+    def _index_lock(self):
+        """Exclusive ``flock`` on a lock file beside the index.
+
+        Held across an index read-modify-write so concurrent writers
+        (forked shard workers, parallel CI jobs) never drop each
+        other's rows; readers need no lock (writes are atomic renames).
+        """
+        with open(self.index_path + ".lock", "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+
     def _load_index(self) -> dict:
         if not os.path.exists(self.index_path):
             return {"format": INDEX_FORMAT, "runs": []}
@@ -223,20 +241,21 @@ class ProfileStore:
         }
         run_id = self._put_bytes(canonical_json(record).encode())
 
-        index = self._load_index()
-        if not any(entry["run"] == run_id for entry in index["runs"]):
-            seq = 1 + max((entry["seq"] for entry in index["runs"]), default=0)
-            index["runs"].append(
-                {
-                    "run": run_id,
-                    "seq": seq,
-                    "spec_digest": record["spec_digest"],
-                    "workload": record["workload"],
-                    "code_fingerprint": record["code_fingerprint"],
-                    "mode": record["spec"]["mode"],
-                }
-            )
-            write_json_atomic(self.index_path, index)
+        with self._index_lock():
+            index = self._load_index()
+            if not any(entry["run"] == run_id for entry in index["runs"]):
+                seq = 1 + max((entry["seq"] for entry in index["runs"]), default=0)
+                index["runs"].append(
+                    {
+                        "run": run_id,
+                        "seq": seq,
+                        "spec_digest": record["spec_digest"],
+                        "workload": record["workload"],
+                        "code_fingerprint": record["code_fingerprint"],
+                        "mode": record["spec"]["mode"],
+                    }
+                )
+                write_json_atomic(self.index_path, index)
         return run_id
 
     def save_run(self, spec: ProfileSpec, run, *, workload: str, program) -> str:

@@ -39,11 +39,11 @@ attaching fresh (but identically shaped) runtime state per run: a
 ``copy.deepcopy`` of the pristine post-instrumentation
 :class:`~repro.instrument.tables.ProfilingRuntime` and/or a new
 :class:`~repro.cct.runtime.CCTRuntime` at the same base address.  The
-fast engine's compiled-source cache keys on table geometry *values*,
-not runtime identity, so warm passes genuinely reuse compiled blocks —
-the regime every real experiment runs in.  Runtime construction and
-machine setup happen outside the timed window; only simulation time is
-reported.
+fast engine's code cache keys on block content and table geometry
+*values*, not runtime identity, so warm passes genuinely reuse
+compiled blocks — the regime every real experiment runs in.  Runtime
+construction and machine setup happen outside the timed window; only
+simulation time is reported.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def prepare_instrumented(program, mode: str):
     :class:`~repro.session.ProfileSpec` for ``mode`` and asks a
     :class:`~repro.session.ProfileSession` to instrument.  Returns
     ``(target, fresh)`` where ``target`` is the instrumented program
-    (shared by every pass, so the fast engine's per-block
-    compiled-source cache stays warm) and ``fresh()`` builds a new
+    (shared by every pass, so every pass after the first finds its
+    blocks in the fast engine's code cache) and ``fresh()`` builds a new
     ``(path_runtime, cct_runtime)`` pair for one run: empty counters,
     identical table geometry and base addresses.
     """
@@ -268,17 +268,23 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
     ``make_pass(engine)`` yields ``(name, ready-to-run Machine)`` pairs
     and is called once per pass (fresh machines, fresh runtime state).
     The simple engine and the warm fast/trace passes run best-of-two;
-    the cold passes (first decode + compile) are timed once.  Raises
-    ``AssertionError`` unless all passes produced identical facts —
-    the bit-exactness contract every engine tier must honour.
+    the cold passes (first decode + compile) are timed once, each on an
+    emptied process-wide code cache so neither reuses code an earlier
+    pass compiled.  Raises ``AssertionError`` unless all passes produced
+    identical facts — the bit-exactness contract every engine tier must
+    honour.
     """
+    from repro.machine.engine import clear_code_cache
+
     simple_i, simple_t, simple_facts, _ = _best_pass(
         2, lambda: _suite_pass(make_pass("simple"))
     )
+    clear_code_cache()
     cold_i, cold_t, cold_facts, cold_stats = _suite_pass(make_pass("fast"))
     warm_i, warm_t, warm_facts, warm_stats = _best_pass(
         2, lambda: _suite_pass(make_pass("fast"))
     )
+    clear_code_cache()
     tcold_i, tcold_t, tcold_facts, tcold_stats = _suite_pass(make_pass("trace"))
     twarm_i, twarm_t, twarm_facts, twarm_stats = _best_pass(
         2, lambda: _suite_pass(make_pass("trace"))

@@ -79,16 +79,18 @@ def test_instrumentation_splices_bump_generations():
 
 
 def test_invalidate_decoded_bumps_every_generation():
+    """An in-place operand mutation the editor never saw (no
+    ``note_edit``) is picked up once ``invalidate_decoded`` runs."""
     program = parse_program(_LOOP)
     machine = Machine(program, engine="fast")
-    machine.run()
+    assert machine.run().return_value == 10
     main = program.functions["main"]
     before = {block.name: block.edit_gen for block in main.blocks}
+    main.block("entry").instrs[1].value = 4  # r1 = 4 iterations
     machine.invalidate_decoded()
     for block in main.blocks:
         assert block.edit_gen != before[block.name]
-        assert block._decode_cache is None
-    assert machine.run().return_value == 10
+    assert machine.run().return_value == 4
 
 
 def test_runtime_swap_evicts_fused_probe_bindings():

@@ -5,6 +5,7 @@ import pytest
 from repro.ir.asm import AsmError, parse_program
 from repro.ir.disasm import format_instruction, format_program
 from repro.ir.instructions import Imm, Kind
+from repro.session.spec import MODES
 
 FULL_PROGRAM = """
 # every assembler form in one program
@@ -171,3 +172,30 @@ class TestRoundTrip:
         assert "13" not in format_instruction(HwcAccum(1, 0, 0))
         assert "slots=4" in format_instruction(CctEnter("f", 4))
         assert "edge.count" in format_instruction(EdgeCount(5, 1))
+
+    def test_k_iteration_pseudo_instructions_format(self):
+        from repro.ir.instructions import KHwcCycle, KHwcExit, KPathAdd
+
+        assert format_instruction(KPathAdd(2, 2, (0, 4))) == (
+            "!kpath.add r2, k=2, values=[0, 4]"
+        )
+        cycle = format_instruction(KHwcCycle(2, 2, (1, 3), 5, 0, 1))
+        assert cycle.startswith("!khwc.cycle r2+5 -> table1")
+        assert "cross=[1, 3]" in cycle
+        exit_line = format_instruction(KHwcExit(2, 2, (0, 6), 3))
+        assert exit_line.startswith("!khwc.exit r2+[0, 6] -> table3")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_instrumented_mode_formats(self, mode):
+        from repro.session import ProfileSession, ProfileSpec
+        from tests.conftest import compile_corpus
+
+        spec = ProfileSpec(mode=mode)
+        if mode == "kflow":
+            spec = ProfileSpec(mode=mode, k=2)
+        inst = ProfileSession().instrument(spec, compile_corpus("loop"))
+        text = format_program(inst.program)
+        if mode != "baseline":
+            assert "!" in text
+        if mode == "kflow":
+            assert "!khwc.cycle" in text and "!khwc.exit" in text

@@ -251,6 +251,11 @@ class TestPhaseEvents:
         assert decode["engine"] in ("simple", "fast")
         run = next(e for e in events if e["phase"] == "run")
         assert run["instructions"] > 0 and run["cycles"] > 0
+        # Blocks decode lazily inside run, so its event reports codegen.
+        assert run["decoded_blocks"] > 0
+        assert run["decoded_blocks"] == (
+            run["source_cache_hits"] + run["source_cache_misses"]
+        )
 
     def test_phases_accumulate_across_runs(self, tmp_path):
         program = compile_corpus("loop")

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,54 @@ class TestSessionSink:
         second = ProfileSession().run(spec, program, store=store, workload="unit")
         assert first.stored_as == second.stored_as
         assert len(store.entries()) == 1
+
+
+class TestConcurrentWriters:
+    WRITERS = 4
+    RECORDS = 40
+
+    def test_forked_writers_lose_no_index_rows(self, tmp_path):
+        """Every writer's rows survive: the index read-modify-write
+        runs under the store's lock, so no writer rewrites the index
+        from a copy that misses another writer's append."""
+        from repro.machine.counters import Event
+
+        root = str(tmp_path)
+        ProfileStore(root)
+        pids = []
+        for writer in range(self.WRITERS):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child process
+                status = 1
+                try:
+                    store = ProfileStore(root)
+                    for i in range(self.RECORDS):
+                        counters = {Event.INSTRS: 1000 * writer + i}
+                        store.save_record(_record(counters, workload=f"w{writer}"))
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        deadline = time.monotonic() + 120
+        while pids and time.monotonic() < deadline:
+            for pid in list(pids):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    assert os.WEXITSTATUS(status) == 0
+                    pids.remove(pid)
+            time.sleep(0.01)
+        for pid in pids:  # pragma: no cover - only on a hung writer
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert not pids, "store writers did not finish in time"
+
+        store = ProfileStore(root)
+        entries = store.entries()
+        assert len(entries) == self.WRITERS * self.RECORDS
+        assert len({entry["run"] for entry in entries}) == len(entries)
+        assert sorted(entry["seq"] for entry in entries) == list(
+            range(1, len(entries) + 1)
+        )
+        for entry in entries:
+            loaded = store.load(entry["run"])
+            assert loaded.workload == entry["workload"]
