@@ -1,8 +1,18 @@
 """Cache simulators: direct-mapped (L1 D) and set-associative (L1 I).
 
-Both expose ``access(address) -> hit`` plus statistics.  The
-direct-mapped variant is specialized (one tag per set, no LRU state)
-because the interpreter calls it on every load and store.
+Both expose ``access(address) -> hit`` plus a ``misses`` count, and an
+``mru`` list holding each set's most recently used block (``-1`` while
+the set is empty).  Touching a set's MRU block is always a hit that
+changes no cache state, so generated engine code tests ``mru`` inline
+and calls :meth:`access` only when that test fails; ``misses`` stays
+exact because every miss still goes through :meth:`access`.  (There is
+no access count for that reason: the D-side count is ``DC_READ +
+DC_WRITE`` in the counter bank.)  Generated code binds ``mru`` once, so
+:meth:`flush` resets it in place.
+
+The direct-mapped variant is specialized (one tag per set, no LRU
+state; its ``mru`` *is* its tag list) because every load and store
+probes it.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from typing import List
 class DirectMappedCache:
     """One tag per set; a 16KB/32B instance has 512 sets (paper §6.4.1)."""
 
-    __slots__ = ("line", "sets", "_line_bits", "_set_mask", "tags", "accesses", "misses")
+    __slots__ = ("line", "sets", "_line_bits", "_set_mask", "tags", "mru", "misses")
 
     def __init__(self, size: int, line: int):
         if size % line:
@@ -25,14 +35,13 @@ class DirectMappedCache:
         self._line_bits = line.bit_length() - 1
         self._set_mask = self.sets - 1
         self.tags: List[int] = [-1] * self.sets
-        self.accesses = 0
+        self.mru = self.tags
         self.misses = 0
 
     def access(self, address: int, allocate: bool = True) -> bool:
         """Probe the cache; fill on miss when ``allocate``.  Returns hit?"""
         block = address >> self._line_bits
         index = block & self._set_mask
-        self.accesses += 1
         if self.tags[index] == block:
             return True
         self.misses += 1
@@ -49,13 +58,13 @@ class DirectMappedCache:
         return (address >> self._line_bits) & self._set_mask
 
     def flush(self) -> None:
-        self.tags = [-1] * self.sets
+        self.tags[:] = [-1] * self.sets
 
 
 class SetAssociativeCache:
     """N-way with true LRU per set; used for the instruction cache."""
 
-    __slots__ = ("line", "assoc", "sets", "_line_bits", "_set_mask", "ways", "accesses", "misses")
+    __slots__ = ("line", "assoc", "sets", "_line_bits", "_set_mask", "ways", "mru", "misses")
 
     def __init__(self, size: int, line: int, assoc: int):
         if size % (line * assoc):
@@ -67,16 +76,16 @@ class SetAssociativeCache:
             raise ValueError("sets and line size must be powers of two")
         self._line_bits = line.bit_length() - 1
         self._set_mask = self.sets - 1
-        # ways[set] is an LRU-ordered list, most recent last.
+        # ways[set] is an LRU-ordered list, most recent last; mru[set]
+        # mirrors ways[set][-1].
         self.ways: List[List[int]] = [[] for _ in range(self.sets)]
-        self.accesses = 0
+        self.mru: List[int] = [-1] * self.sets
         self.misses = 0
 
     def access(self, address: int, allocate: bool = True) -> bool:
         block = address >> self._line_bits
         index = block & self._set_mask
         way = self.ways[index]
-        self.accesses += 1
         # Fast path: re-touching the most recent line leaves LRU order
         # unchanged, and a membership scan beats catching ValueError on
         # the (frequent) miss path.
@@ -86,12 +95,14 @@ class SetAssociativeCache:
             if block in way:
                 way.remove(block)
                 way.append(block)
+                self.mru[index] = block
                 return True
         self.misses += 1
         if allocate:
             way.append(block)
             if len(way) > self.assoc:
                 way.pop(0)
+            self.mru[index] = block
         return False
 
     def contains(self, address: int) -> bool:
@@ -100,3 +111,4 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         self.ways = [[] for _ in range(self.sets)]
+        self.mru[:] = [-1] * self.sets

@@ -12,6 +12,9 @@ Keys are hex SHA-256 digests computed by the trace compiler over:
 
 * ``sys.implementation.cache_tag`` (marshalled code objects are only
   valid for the interpreter that produced them);
+* :data:`repro.machine.trace.GENERATOR_DIGEST`, a digest of the block
+  and trace generators' sources (code is only valid for the generator
+  that wrote it: its maker signature and emitted bodies);
 * :func:`repro.machine.engine._config_key` — the config constants that
   appear as literals in generated source;
 * per chain block: function name, block name, the instruction reprs

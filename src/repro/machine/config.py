@@ -74,3 +74,5 @@ class MachineConfig:
             raise ValueError("icache size must be a multiple of line*assoc")
         if self.predictor_entries & (self.predictor_entries - 1):
             raise ValueError("predictor_entries must be a power of two")
+        if self.store_buffer_depth < 1:
+            raise ValueError("store_buffer_depth must be at least 1")

@@ -17,6 +17,16 @@ machine:
   function — generated source with register numbers, immediates,
   addresses and cost constants inlined as literals, ``exec``-ed once at
   decode time;
+* the machine models answer their common case inside generated code:
+  each I-cache probe and each D-cache access (program loads and stores
+  and fused probe traffic alike) first compares the address's block
+  with the set's most recently used block (the caches' ``mru`` lists,
+  set and block as literals where the address is static) and calls
+  the model's ``access()`` only when that one-line test fails, so
+  misses and non-MRU hits — and with them every miss tally — still go
+  through the model.  (The write half of a fused read-modify-write
+  always hits and carries no test.)  The branch predictor and the
+  store buffer stay calls (their updates take several lines per site);
 * the instrumentation hooks spliced by :mod:`repro.instrument` are
   **fused** into the generated source wherever their behaviour is
   static: array-table ``bump``/``accumulate`` fast paths with slot
@@ -24,8 +34,11 @@ machine:
   address precomputed, the PIC zero/save/restore sequences, the CCT
   gCSP store before calls, and the CCT entry/exit protocol with a
   generated tag-0 fast path that only calls into the runtime
-  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  Hash tables,
-  per-context tables (the combined mode's ``table == -1``), CCT
+  (``CCTRuntime._enter_slow``) for tag-1/tag-2 slots.  The combined
+  mode's per-context commits and accumulates (``table == -1``) fuse
+  too when the function's table spec is an array: the geometry is a
+  literal, and one ``CCTRuntime.path_table`` call per commit supplies
+  the current context's base address and counters.  Hash tables, CCT
   backedge probes, and programs run without an attached runtime keep
   the closure fallback;
 * stateful-but-rare instructions (calls, returns, setjmp/longjmp and
@@ -66,15 +79,19 @@ splice; ``id(block.instrs)`` is unsafe — a GC'd list's id can be
 reused) plus ``len(block.instrs)``, so :mod:`repro.edit` splices
 invalidate stale entries automatically; call
 :meth:`Machine.invalidate_decoded` after any other program surgery.
+Branch transfers report ``on_block`` to ``machine.tracer`` only when a
+tracer was attached at decode time; attaching or detaching one between
+runs re-decodes, so tracer-free machines pay no tracer test per branch.
 
 Below the per-machine binding sits one process-wide **code cache** of
 compiled block code (:data:`CODE_CACHE_MAX_BYTES`, LRU).  Its key is a
 digest of the block's *content* — function and block name, base
 address, instruction count, :func:`_config_key`, the
-:func:`_probe_key` fingerprint of the attached runtimes, and the
-``repr`` of every instruction — so an identical block in any clone,
-mode re-run or re-measure skips codegen and ``compile()``, while an
-in-place mutation changes the key with no generation involved.  Only
+:func:`_probe_key` fingerprint of the attached runtimes, whether a
+tracer is attached, and the ``repr`` of every instruction — so an
+identical block in any clone, mode re-run or re-measure skips codegen
+and ``compile()``, while an in-place mutation changes the key with no
+generation involved.  Only
 the binding (``exec`` of the segment makers, closure handlers, link
 cells and fused-probe objects) runs per machine.
 """
@@ -86,11 +103,11 @@ import marshal
 import math
 import zlib
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cct.records import CallRecord
 from repro.cct.runtime import GCSP_SLOT, _ShadowEntry
-from repro.instrument.tables import TableKind
+from repro.instrument.tables import ProfilingRuntime, TableKind
 from repro.ir.instructions import (
     BINARY_OPS,
     FLOAT_OPS,
@@ -194,6 +211,7 @@ class DecodedBlock:
         "n_instrs",
         "total_icost",
         "runtimes",
+        "traced",
         "key",
         "hot",
     )
@@ -206,6 +224,7 @@ class DecodedBlock:
         n_instrs: int,
         total_icost: int,
         runtimes: Tuple,
+        traced: bool,
     ):
         self.steps = steps
         self.nsteps = len(steps)
@@ -223,6 +242,10 @@ class DecodedBlock:
         #: comparison in ``_validate_decoded`` can never hit a recycled
         #: ``id``.  Swapping runtimes between runs evicts the decoding.
         self.runtimes = runtimes
+        #: Whether a tracer was attached at decode time (and branch
+        #: transfers therefore report ``on_block``); a run whose tracer
+        #: attachment differs evicts this decoding.
+        self.traced = traced
         #: ``(function_name, block_name)`` — the decoded-cache key.  The
         #: trace tier reads it off branch-transfer returns to attribute
         #: heat to chain links without re-deriving the name.
@@ -563,6 +586,11 @@ class _SegmentWriter:
     are emitted in instruction order at line-crossing addresses only;
     fused probes keep the static line tracking alive, only closure
     handlers reset it.
+
+    Cache probes answer the common case inline: a fetch or data access
+    whose block is its set's ``mru`` entry is a hit that changes no
+    cache state, so the model's ``access()`` runs only when that
+    one-line test fails.
     """
 
     def __init__(self, machine, fname: str, alloc_link: Callable[[], int]):
@@ -581,6 +609,12 @@ class _SegmentWriter:
         self.penalty = machine.config.icache_miss_penalty
         self.write_allocate = machine.config.dcache_write_allocate
         self.fp_latencies = machine.config.fp_latencies
+        self.iset_mask = machine.icache._set_mask
+        self.dline_bits = machine.dcache._line_bits
+        self.dset_mask = machine.dcache._set_mask
+        #: Branch transfers report ``on_block`` only when a tracer was
+        #: attached at decode time (part of the code cache key).
+        self.traced = machine.tracer is not None
         # pending cost sums
         self.n = 0
         self.icost = 0
@@ -611,16 +645,31 @@ class _SegmentWriter:
 
     # -- fetch ----------------------------------------------------------------
 
+    def icache_miss(self, addr: int) -> str:
+        """Condition that is true when fetching ``addr`` misses the
+        I-cache: the inline MRU test, then the model.  (The block
+        number is the instruction's line, ``addr >> line_bits``.)"""
+        iline = addr >> self.machine._icache_line_bits
+        return f"_imru[{iline & self.iset_mask}] != {iline} and not _ica({addr})"
+
+    def dcache_miss(self, addr: str, write: bool = False) -> str:
+        """Condition that is true when accessing ``addr`` misses the
+        D-cache: the inline MRU test, then the model (which fills the
+        line unless this is a write without write-allocate)."""
+        block = f"{addr} >> {self.dline_bits}"
+        allocate = self.write_allocate or not write
+        call = f"_dca({addr})" if allocate else f"_dca({addr}, False)"
+        return f"_dmru[{block} & {self.dset_mask}] != {block} and not {call}"
+
     def fetch(self, addr: int, iline: int, icost: int) -> None:
         if self.prev_iline is None:
             # Dynamic head check: the previous dynamic instruction ran
             # in another segment (or another block entirely).
-            self.emit(f"if {iline} != _il[0]:")
-            self.emit(f"    if not _ica({addr}):")
-            self.emit(f"        counts[{_IC_MISS}] += 1")
-            self.emit(f"        counts[{_CYCLES}] += {self.penalty}")
+            self.emit(f"if {iline} != _il[0] and {self.icache_miss(addr)}:")
+            self.emit(f"    counts[{_IC_MISS}] += 1")
+            self.emit(f"    counts[{_CYCLES}] += {self.penalty}")
         elif iline != self.prev_iline:
-            self.emit(f"if not _ica({addr}):")
+            self.emit(f"if {self.icache_miss(addr)}:")
             self.emit(f"    counts[{_IC_MISS}] += 1")
             self.emit(f"    counts[{_CYCLES}] += {self.penalty}")
         self.prev_iline = iline
@@ -704,7 +753,7 @@ class _SegmentWriter:
             else:
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
             self.loads += 1
-            self.emit("if not _dca(_a):")
+            self.emit(f"if {self.dcache_miss('_a')}:")
             self.emit(f"    counts[{_DC_READ_MISS}] += 1")
             self.emit(f"    counts[{_DC_MISS}] += 1")
             self.emit(f"    counts[{_CYCLES}] += _rmc(_a)")
@@ -725,8 +774,7 @@ class _SegmentWriter:
                 self.stores += 1
                 self.flush_costs()
                 self.emit(f"_a = frame.base_addr + {instr.slot * WORD}")
-            probe = "_dca(_a)" if self.write_allocate else "_dca(_a, False)"
-            self.emit(f"if not {probe}:")
+            self.emit(f"if {self.dcache_miss('_a', write=True)}:")
             self.emit(f"    counts[{_DC_WRITE_MISS}] += 1")
             self.emit(f"    counts[{_DC_MISS}] += 1")
             self.emit("    _nms(_a)")
@@ -774,9 +822,10 @@ class _SegmentWriter:
         self.extras.append(("lk", n))
         self.emit(f"frame.block_name = {target!r}", indent)
         self.emit("frame.index = 0", indent)
-        self.emit("_t = machine.tracer", indent)
-        self.emit("if _t is not None:", indent)
-        self.emit(f"    _t.on_block({self.fname!r}, {target!r})", indent)
+        if self.traced:
+            self.emit("_t = machine.tracer", indent)
+            self.emit("if _t is not None:", indent)
+            self.emit(f"    _t.on_block({self.fname!r}, {target!r})", indent)
         self.emit(f"return _lk{n}[0] or _rs(_lk{n}, {target!r})", indent)
 
     # -- fused instrumentation probes ------------------------------------------
@@ -790,21 +839,30 @@ class _SegmentWriter:
         """
         self.emit(f"counts[{_LOADS}] += 1", indent)
         self.emit(f"counts[{_DC_READ}] += 1", indent)
-        self.emit(f"if not _dca({addr}):", indent)
+        self.emit(f"if {self.dcache_miss(addr)}:", indent)
         self.emit(f"    counts[{_DC_READ_MISS}] += 1", indent)
         self.emit(f"    counts[{_DC_MISS}] += 1", indent)
         self.emit(f"    counts[{_CYCLES}] += _rmc({addr})", indent)
         self.emit(f"    _nms({addr})", indent)
 
-    def probe_write(self, addr: str, value: str, indent: int = 2) -> None:
-        """``Machine.probe_write`` traffic: miss probe, drain, store."""
-        miss = f"_dca({addr})" if self.write_allocate else f"_dca({addr}, False)"
+    def probe_write(
+        self, addr: str, value: str, indent: int = 2, after_read: bool = False
+    ) -> None:
+        """``Machine.probe_write`` traffic: miss probe, drain, store.
+
+        ``after_read`` marks the write half of a read-modify-write: the
+        read of the same address just before it (with no simulated
+        access in between) left the line cached as its set's MRU block
+        — reads always allocate — so the write hits, and its miss probe
+        is dead code that is not emitted.
+        """
         self.emit(f"counts[{_STORES}] += 1", indent)
         self.emit(f"counts[{_DC_WRITE}] += 1", indent)
-        self.emit(f"if not {miss}:", indent)
-        self.emit(f"    counts[{_DC_WRITE_MISS}] += 1", indent)
-        self.emit(f"    counts[{_DC_MISS}] += 1", indent)
-        self.emit(f"    _nms({addr})", indent)
+        if not after_read:
+            self.emit(f"if {self.dcache_miss(addr, write=True)}:", indent)
+            self.emit(f"    counts[{_DC_WRITE_MISS}] += 1", indent)
+            self.emit(f"    counts[{_DC_MISS}] += 1", indent)
+            self.emit(f"    _nms({addr})", indent)
         self.emit("_sbp()", indent)
         self.emit(f"_mwr({addr}, {value})", indent)
 
@@ -864,28 +922,45 @@ class _SegmentWriter:
         """CounterTable.bump's in-range body: RMW traffic + dict update."""
         self.probe_read(addr, indent)
         self.emit(f"_v = {tc}.get({index}, 0) + 1", indent)
-        self.probe_write(addr, "_v", indent)
+        self.probe_write(addr, "_v", indent, after_read=True)
         self.emit(f"{tc}[{index}] = _v", indent)
 
+    def _table_refs(self, instr, table, metrics: bool) -> Tuple:
+        """Source for ``(base, counts, metrics, table)`` of a fused commit.
+
+        A global array table binds its dicts and inlines its base.  A
+        per-context table (``table == -1``) is looked up per commit, at
+        the point where ``ProfilingRuntime.table_for`` would run, and
+        read through ``_tb``; only its geometry is a literal.
+        """
+        if instr.table == _CONTEXT_TABLE:
+            self.emit(f"_tb = {self.param('ptbl')}(machine, {self.fname!r})")
+            return "_tb.base", "_tb.counts", "_tb.metrics", "_tb"
+        return (
+            str(table.base),
+            self.param("tblc", instr.table),
+            self.param("tblm", instr.table) if metrics else None,
+            self.param("tbl", instr.table),
+        )
+
     def _fuse_commit(self, instr, table) -> None:
-        tc = self.param("tblc", instr.table)
         self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
+        base, tc, _tm, tbl = self._table_refs(instr, table, metrics=False)
         self.emit(f"if 0 <= _i < {table.capacity}:")
-        self.emit(f"    _a = {table.base} + _i * {table.slot_words * WORD}")
+        self.emit(f"    _a = {base} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit("else:")
-        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
+        self.emit(f"    {tbl}.out_of_range += 1")
         if instr.reset_to is not None:
             self.emit(f"{self.wr(instr.reg)} = {instr.reset_to}")
 
     def _fuse_accum(self, instr, table) -> None:
-        tc = self.param("tblc", instr.table)
-        tm = self.param("tblm", instr.table)
         pr = self.param("picr")
         self.emit(f"_p = {pr}()")
         self.emit(f"_i = {self.rd(instr.reg)} + {instr.end}")
+        base, tc, tm, tbl = self._table_refs(instr, table, metrics=True)
         self.emit(f"if 0 <= _i < {table.capacity}:")
-        self.emit(f"    _a = {table.base} + _i * {table.slot_words * WORD}")
+        self.emit(f"    _a = {base} + _i * {table.slot_words * WORD}")
         self._bump(tc, "_i", "_a", 3)
         self.emit(f"    _m = {tm}.get(_i)")
         self.emit("    if _m is None:")
@@ -894,13 +969,13 @@ class _SegmentWriter:
         self.emit(f"    _a += {WORD}")
         self.probe_read("_a", 3)
         self.emit("    _m[0] += _p[0]")
-        self.probe_write("_a", "_m[0]", 3)
+        self.probe_write("_a", "_m[0]", 3, after_read=True)
         self.emit(f"    _a += {WORD}")
         self.probe_read("_a", 3)
         self.emit("    _m[1] += _p[1]")
-        self.probe_write("_a", "_m[1]", 3)
+        self.probe_write("_a", "_m[1]", 3, after_read=True)
         self.emit("else:")
-        self.emit(f"    {self.param('tbl', instr.table)}.out_of_range += 1")
+        self.emit(f"    {tbl}.out_of_range += 1")
         if instr.rezero:
             self.emit(f"{self.param('picz')}()")
             self.emit(f"{pr}()")
@@ -924,11 +999,11 @@ class _SegmentWriter:
         self.emit(f"_a += {WORD}", indent)
         self.probe_read("_a", indent)
         self.emit("_m[0] += _p[0]", indent)
-        self.probe_write("_a", "_m[0]", indent)
+        self.probe_write("_a", "_m[0]", indent, after_read=True)
         self.emit(f"_a += {WORD}", indent)
         self.probe_read("_a", indent)
         self.emit("_m[1] += _p[1]", indent)
-        self.probe_write("_a", "_m[1]", indent)
+        self.probe_write("_a", "_m[1]", indent, after_read=True)
 
     def _fuse_kcycle(self, instr, table) -> None:
         # Mirrors ProfilingRuntime.k_cycle exactly: layer test first, the
@@ -1003,7 +1078,7 @@ class _SegmentWriter:
         self.probe_read("_a")
         self.emit("_m = _c.metrics")
         self.emit("_m[0] += 1")
-        self.probe_write("_a", "_m[0]")
+        self.probe_write("_a", "_m[0]", after_read=True)
 
     def _fuse_cct_exit(self) -> None:
         rt = self.param("cct")
@@ -1027,11 +1102,11 @@ class _SegmentWriter:
             self.probe_read("_a")
             self.emit("_m = _c.metrics")
             self.emit(f"_m[1] += (_p[0] - _e.pic0) % {1 << 32}")
-            self.probe_write("_a", "_m[1]")
+            self.probe_write("_a", "_m[1]", after_read=True)
             self.emit(f"_a += {WORD}")
             self.probe_read("_a")
             self.emit(f"_m[2] += (_p[1] - _e.pic1) % {1 << 32}")
-            self.probe_write("_a", "_m[2]")
+            self.probe_write("_a", "_m[2]", after_read=True)
             self.emit(f"counts[{_INSTRS}] += 8")
             self.emit(f"counts[{_CYCLES}] += 8")
 
@@ -1080,6 +1155,10 @@ _TABLE_PLAN_OPS = {
     Kind.K_HWC_EXIT: "k_exit",
 }
 
+#: Kinds that fuse against per-context tables (``table == -1``).
+_CONTEXT_FUSED_KINDS = frozenset({Kind.PATH_COMMIT, Kind.HWC_ACCUM})
+_CONTEXT_TABLE = ProfilingRuntime.CONTEXT_TABLE
+
 #: Table kinds whose fused body hard-codes two metric slots.
 _METRIC_TABLE_KINDS = frozenset({Kind.HWC_ACCUM, Kind.K_HWC_CYCLE, Kind.K_HWC_EXIT})
 _CCT_PLAN_OPS = {
@@ -1089,14 +1168,46 @@ _CCT_PLAN_OPS = {
 }
 
 
-def _fuse_plan(machine, instr) -> Optional[Tuple]:
+class _ContextTable(NamedTuple):
+    """Geometry shared by all per-context path tables of one function
+    (combined mode): fixed by its spec, while the base address and the
+    counters vary per calling context."""
+
+    kind: TableKind
+    capacity: int
+    metric_slots: int
+
+    @property
+    def slot_words(self) -> int:
+        return 1 + self.metric_slots
+
+
+def _context_table(machine, fname: str) -> Optional[_ContextTable]:
+    """The spec ``CCTRuntime.path_table`` would build ``fname``'s
+    per-context tables from, or None when it cannot (no runtimes, no
+    spec: the closure path then raises the runtime's error)."""
+    cct_runtime = machine.cct_runtime
+    if machine.path_runtime is None or cct_runtime is None:
+        return None
+    if cct_runtime.profiling is None:
+        return None
+    spec = cct_runtime.profiling.specs.get(fname)
+    if spec is None:
+        return None
+    capacity, metric_slots, kind = spec
+    return _ContextTable(kind, capacity, metric_slots)
+
+
+def _fuse_plan(machine, instr, fname: str) -> Optional[Tuple]:
     """How to fuse ``instr`` into generated source, or None for a closure.
 
     Array-table commits/accumulates/edge bumps fuse with their geometry
-    as literals; hash tables, per-context tables (``table == -1``) and
-    missing runtimes fall back.  PIC sequences always fuse.  CCT
-    enter/call/exit fuse when a runtime is attached (the entry slow
-    path still runs in the runtime, through a per-site closure).
+    as literals, and so do the combined mode's per-context commits and
+    accumulates (``table == -1``) when the function's spec is an array;
+    hash tables and missing runtimes fall back.  PIC sequences always
+    fuse.  CCT enter/call/exit fuse when a runtime is attached (the
+    entry slow path still runs in the runtime, through a per-site
+    closure).
     """
     kind = instr.kind
     if kind == Kind.HWC_ZERO:
@@ -1107,9 +1218,14 @@ def _fuse_plan(machine, instr) -> Optional[Tuple]:
         return ("hwc_restore",)
     if kind in _TABLE_KINDS:
         runtime = machine.path_runtime
-        if runtime is None or not 0 <= instr.table < len(runtime.tables):
+        if instr.table == _CONTEXT_TABLE and kind in _CONTEXT_FUSED_KINDS:
+            table = _context_table(machine, fname)
+        elif runtime is None or not 0 <= instr.table < len(runtime.tables):
             return None
-        table = runtime.tables[instr.table]
+        else:
+            table = runtime.tables[instr.table]
+        if table is None:
+            return None
         if table.kind is not TableKind.ARRAY:
             return None
         if kind in _METRIC_TABLE_KINDS and table.metric_slots != 2:
@@ -1125,7 +1241,12 @@ def _fuse_plan(machine, instr) -> Optional[Tuple]:
 def _config_key(config) -> Tuple:
     """The config constants baked into generated segment source."""
     return (
+        config.icache_size,
         config.icache_line,
+        config.icache_assoc,
+        config.dcache_size,
+        config.dcache_line,
+        config.dcache_assoc,
         config.icache_miss_penalty,
         config.mispredict_penalty,
         config.dcache_write_allocate,
@@ -1134,7 +1255,7 @@ def _config_key(config) -> Tuple:
     )
 
 
-def _probe_key(machine, instrs) -> Tuple:
+def _probe_key(machine, fname: str, instrs) -> Tuple:
     """Fingerprint of everything fused probes bake into source.
 
     Part of the block-level compile cache key: two machines share a
@@ -1147,7 +1268,13 @@ def _probe_key(machine, instrs) -> Tuple:
     cct_runtime = machine.cct_runtime
     for instr in instrs:
         kind = instr.kind
-        if kind in _TABLE_KINDS:
+        if kind in _TABLE_KINDS and instr.table == _CONTEXT_TABLE:
+            spec = _context_table(machine, fname)
+            if spec is None:
+                parts.append(("slow",))
+            else:
+                parts.append(("ctx", spec.capacity, spec.metric_slots, spec.kind.value))
+        elif kind in _TABLE_KINDS:
             if path_runtime is None or not 0 <= instr.table < len(path_runtime.tables):
                 parts.append(("slow",))
             else:
@@ -1222,7 +1349,8 @@ def clear_code_cache() -> None:
 
 
 def _code_key(machine, fname: str, bname: str, instrs, addrs) -> bytes:
-    """Content digest of everything :func:`_generate_block` reads.
+    """Content digest of everything :func:`_generate_block` reads
+    (including whether a tracer is attached: see ``DecodedBlock.traced``).
 
     Instruction ``repr``s stand in for the instructions themselves:
     they are mutable, unhashable dataclasses, and ``==`` equates
@@ -1236,7 +1364,8 @@ def _code_key(machine, fname: str, bname: str, instrs, addrs) -> bytes:
         addrs[0] if addrs else 0,
         len(instrs),
         _config_key(machine.config),
-        _probe_key(machine, instrs),
+        _probe_key(machine, fname, instrs),
+        machine.tracer is not None,
     )
     digest = hashlib.blake2b(repr(head).encode(), digest_size=16)
     digest.update("\n".join(map(repr, instrs)).encode())
@@ -1302,7 +1431,7 @@ def _generate_block(machine, function, block, instrs, addrs):
             elif seg_len >= SEGMENT_CAP:
                 writer.close()
                 end()
-        elif (plan := _fuse_plan(machine, instr)) is not None:
+        elif (plan := _fuse_plan(machine, instr, fname)) is not None:
             # Fused instrumentation: stays inside the segment, keeps
             # the static I-cache line tracking, flushes costs only if
             # its body observes a counter (decided in fuse()).
@@ -1342,7 +1471,7 @@ def _generate_block(machine, function, block, instrs, addrs):
                 names.append(f", _{t}{v}")
         params = "".join(names)
         src_parts.append(
-            f"def _make{j}(machine, counts, _il, _ica, _dca, _mrd, _mwr, _sbp, _nms, _rmc, _prd, _rs{params}):"
+            f"def _make{j}(machine, counts, _il, _ica, _imru, _dca, _dmru, _mrd, _mwr, _sbp, _nms, _rmc, _prd, _rs{params}):"
         )
         src_parts.append("    def _seg(frame):")
         src_parts.append("        regs = frame.regs")
@@ -1362,6 +1491,8 @@ def _resolve_probe_spec(machine, instrs, spec):
         return machine.path_runtime.tables[spec[1]].counts
     if tag == "tblm":
         return machine.path_runtime.tables[spec[1]].metrics
+    if tag == "ptbl":
+        return machine.cct_runtime.path_table
     if tag == "picr":
         return machine.pic.read
     if tag == "picz":
@@ -1471,7 +1602,9 @@ def decode_block(machine, function, block) -> DecodedBlock:
                 counts,
                 machine._iline,
                 machine.icache.access,
+                machine.icache.mru,
                 machine.dcache.access,
+                machine.dcache.mru,
                 machine.memory._store.get,
                 machine.memory._store.__setitem__,
                 machine._store_buffer_push,
@@ -1490,6 +1623,7 @@ def decode_block(machine, function, block) -> DecodedBlock:
         len(instrs),
         total_icost,
         (machine.path_runtime, machine.cct_runtime),
+        machine.tracer is not None,
     )
     decoded.key = (fname, block.name)
     return decoded

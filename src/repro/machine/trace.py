@@ -58,6 +58,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Kind
+from repro.machine import engine as _engine
 from repro.machine.codecache import default_cache
 from repro.machine.engine import (
     SEGMENT_CAP,
@@ -107,7 +108,7 @@ def _threshold() -> int:
         return TRACE_THRESHOLD
 
 
-def _traceable_block(machine, block) -> bool:
+def _traceable_block(machine, fname: str, block) -> bool:
     """Whether ``block`` can be a trace member.
 
     Every instruction must compile inline or fuse (closure handlers
@@ -125,7 +126,7 @@ def _traceable_block(machine, block) -> bool:
         kind = instr.kind
         if kind in _INLINE_KINDS:
             continue
-        if _fuse_plan(machine, instr) is None:
+        if _fuse_plan(machine, instr, fname) is None:
             return False
     return True
 
@@ -214,7 +215,7 @@ class _TraceWriter(_SegmentWriter):
             f'    raise _ME("instruction budget exceeded ({max_instructions})")'
         )
         if tail_iline != head_iline:
-            self.emit(f"if not _ica({head_addr}):")
+            self.emit(f"if {self.icache_miss(head_addr)}:")
             self.emit(f"    counts[{_IC_MISS}] += 1")
             self.emit(f"    counts[{_CYCLES}] += {self.penalty}")
         self.emit("continue")
@@ -324,7 +325,7 @@ def _generate_trace(machine, function, chain: List, loop_back: bool):
             if instr.kind in _INLINE_KINDS:
                 writer.inline(instr, addr, iline)
             else:
-                plan = _fuse_plan(machine, instr)
+                plan = _fuse_plan(machine, instr, fname)
                 writer.fuse(plan, instr, flat_base + i, addr, iline)
         term = instrs[-1]
         if position + 1 < len(chain):
@@ -349,7 +350,7 @@ def _generate_trace(machine, function, chain: List, loop_back: bool):
     shape = " -> ".join(names) + (" -> (loop)" if loop_back else "")
     lines: List[str] = [f"# trace {fname}: {shape}"]
     lines.append(
-        f"def _maketrace(machine, counts, _il, _ica, _dca, _mrd, _mwr, _sbp, _nms, _rmc, _prd{params}):"
+        f"def _maketrace(machine, counts, _il, _ica, _imru, _dca, _dmru, _mrd, _mwr, _sbp, _nms, _rmc, _prd{params}):"
     )
     lines.append("    def _trace(frame):")
     lines.append("        regs = frame.regs")
@@ -357,10 +358,10 @@ def _generate_trace(machine, function, chain: List, loop_back: bool):
         lines.append(f"        _r{reg} = regs[{reg}]")
     # Dynamic entry check for the head's first fetch — the same test
     # the block engine performs at every segment head.
-    lines.append(f"        if {head_iline} != _il[0]:")
-    lines.append(f"            if not _ica({head_addr}):")
-    lines.append(f"                counts[{_IC_MISS}] += 1")
-    lines.append(f"                counts[{_CYCLES}] += {writer.penalty}")
+    head_miss = writer.icache_miss(head_addr)
+    lines.append(f"        if {head_iline} != _il[0] and {head_miss}:")
+    lines.append(f"            counts[{_IC_MISS}] += 1")
+    lines.append(f"            counts[{_CYCLES}] += {writer.penalty}")
     lines.append("        while True:")
     for entry in writer.lines:
         if entry.__class__ is tuple:
@@ -380,6 +381,20 @@ def _generate_trace(machine, function, chain: List, loop_back: bool):
 # ---------------------------------------------------------------------------
 
 
+def _generator_digest() -> str:
+    """SHA-256 over the sources of the block and trace generators."""
+    digest = hashlib.sha256()
+    for path in (_engine.__file__, __file__):
+        with open(path, "rb") as source:
+            digest.update(source.read())
+    return digest.hexdigest()
+
+
+#: Fingerprint of the code generators, computed once at import and
+#: hashed into every :func:`disk_key`.
+GENERATOR_DIGEST = _generator_digest()
+
+
 def _chain_key(machine, function, chain: List, loop_back: bool) -> Tuple:
     """In-process cache key (mirrors the decoded-block cache key)."""
     layout = machine.layout.block_addrs
@@ -397,7 +412,7 @@ def _chain_key(machine, function, chain: List, loop_back: bool) -> Tuple:
         loop_back,
         _config_key(machine.config),
         machine.config.max_instructions,
-        tuple(_probe_key(machine, block.instrs) for block in chain),
+        tuple(_probe_key(machine, fname, block.instrs) for block in chain),
     )
 
 
@@ -409,7 +424,10 @@ def disk_key(machine, function, chain: List, loop_back: bool) -> str:
     (dataclass reprs are complete and stable) plus the addresses,
     config constants and probe fingerprints that appear as literals in
     the generated source.  The interpreter cache tag scopes marshalled
-    code objects to the interpreter that produced them.
+    code objects to the interpreter that produced them, and
+    :data:`GENERATOR_DIGEST` scopes them to the generator that wrote
+    them: code from another version of the engine or trace writer
+    (another maker signature, other emitted bodies) never loads.
     """
     fname = function.name
     layout = machine.layout.block_addrs
@@ -418,6 +436,7 @@ def disk_key(machine, function, chain: List, loop_back: bool) -> str:
         repr(
             (
                 sys.implementation.cache_tag,
+                GENERATOR_DIGEST,
                 loop_back,
                 _config_key(machine.config),
                 machine.config.max_instructions,
@@ -431,7 +450,7 @@ def disk_key(machine, function, chain: List, loop_back: bool) -> str:
                     fname,
                     block.name,
                     tuple(layout[(fname, block.name)]),
-                    _probe_key(machine, block.instrs),
+                    _probe_key(machine, fname, block.instrs),
                 )
             ).encode()
         )
@@ -511,7 +530,9 @@ def compile_trace(machine, function, names: List[str], loop_back: bool, state):
         machine.counters.counts,
         machine._iline,
         machine.icache.access,
+        machine.icache.mru,
         machine.dcache.access,
+        machine.dcache.mru,
         machine.memory._store.get,
         machine.memory._store.__setitem__,
         machine._store_buffer_push,
@@ -593,7 +614,7 @@ class TraceState:
     def maybe_start(self, machine, function, key) -> None:
         """A block crossed the heat threshold: record or blacklist it."""
         block = function.block(key[1])
-        if _traceable_block(machine, block):
+        if _traceable_block(machine, function.name, block):
             self.recording = (function, [key[1]])
         else:
             self.dispatch[key] = BLACKLIST
@@ -623,7 +644,7 @@ class TraceState:
         if len(names) >= MAX_TRACE_BLOCKS:
             self._finalize(machine, loop_back=False)
             return
-        if not _traceable_block(machine, function.block(bname)):
+        if not _traceable_block(machine, function.name, function.block(bname)):
             self._finalize(machine, loop_back=False)
             return
         names.append(bname)
@@ -657,7 +678,6 @@ def execute(machine):
     traces.  Runs with a tracer or a signal handler attached delegate
     wholesale to the block engine (see the module docstring).
     """
-    from repro.machine import engine as _engine
     from repro.machine.vm import MachineError
 
     if machine.tracer is not None or machine._signal_handler is not None:
@@ -769,6 +789,7 @@ def execute(machine):
 
 __all__ = [
     "BLACKLIST",
+    "GENERATOR_DIGEST",
     "MAX_TRACE_BLOCKS",
     "TRACE_THRESHOLD",
     "TraceMeta",

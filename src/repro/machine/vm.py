@@ -21,7 +21,7 @@ Cost model (deliberately simple and deterministic):
 from __future__ import annotations
 
 import os
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.function import Function, Program
@@ -147,7 +147,12 @@ class Machine:
             else None
         )
         self.predictor = TwoBitPredictor(cfg.predictor_entries)
-        self._store_buffer: deque = deque()
+        #: Drain times of the last ``store_buffer_depth`` stores, oldest
+        #: first (-1 for never-used entries).  Drain times never
+        #: decrease, so the buffer is full exactly when the oldest entry
+        #: is still in the future.
+        self._store_buffer: List[int] = [-1] * cfg.store_buffer_depth
+        self._store_drain = cfg.store_drain_cycles
         self._icache_line_bits = cfg.icache_line.bit_length() - 1
         #: Last fetched I-cache line, in a one-slot list so decoded
         #: closures and generated code can share the state cheaply.
@@ -166,7 +171,10 @@ class Machine:
         self.region_misses: Dict[str, int] = defaultdict(int)
 
         #: Optional tracer with on_enter/on_exit/on_block callbacks;
-        #: used by the ground-truth oracle profiler in tests.
+        #: used by the ground-truth oracle profiler in tests.  Attach
+        #: it before a run starts: the fast engine decides at decode
+        #: time whether branch transfers report to it, and re-decodes
+        #: when the attachment changed between runs.
         self.tracer = None
 
         self._jmpbufs: List[Tuple[int, str, int, int]] = []
@@ -262,17 +270,17 @@ class Machine:
         counts = self.counters.counts
         now = counts[_CYCLES]
         buffer = self._store_buffer
-        while buffer and buffer[0] <= now:
-            buffer.popleft()
-        if len(buffer) >= self.config.store_buffer_depth:
-            stall = buffer[0] - now
+        oldest = buffer[0]
+        if oldest > now:
+            # Full: stall until the oldest store drains.  ``now``
+            # need not advance: the new store queues behind ``last``,
+            # which is never earlier than ``oldest``.
+            stall = oldest - now
             counts[_CYCLES] += stall
             counts[_SB_STALL] += stall
-            now += stall
-            while buffer and buffer[0] <= now:
-                buffer.popleft()
-        last = buffer[-1] if buffer else now
-        buffer.append(max(now, last) + self.config.store_drain_cycles)
+        last = buffer[-1]
+        del buffer[0]
+        buffer.append((last if last > now else now) + self._store_drain)
 
     def install_signal(self, handler: str, period: int) -> None:
         """Deliver an asynchronous signal every ``period`` instructions.
@@ -387,8 +395,10 @@ class Machine:
 
         A decoding is stale when the block's edit generation moved (any
         :meth:`repro.ir.function.Block.note_edit` splice), the block
-        disappeared, or the machine's attached runtimes changed since
-        the fused probes bound their tables and CCT state.  Called once
+        disappeared, the machine's attached runtimes changed since the
+        fused probes bound their tables and CCT state, or a tracer was
+        attached or detached since decode (generated branch transfers
+        call ``on_block`` only when one was attached).  Called once
         per run by the fast engine; programs cannot be edited mid-run,
         so the per-run sweep is enough for the hot loop's cache hits to
         skip validation entirely.
@@ -396,6 +406,7 @@ class Machine:
         stale = []
         functions = self.program.functions
         runtimes = (self.path_runtime, self.cct_runtime)
+        traced = self.tracer is not None
         for key, decoded in self._decoded.items():
             fname, bname = key
             function = functions.get(fname)
@@ -411,6 +422,7 @@ class Machine:
                 or decoded.n_instrs != len(block.instrs)
                 or decoded.runtimes[0] is not runtimes[0]
                 or decoded.runtimes[1] is not runtimes[1]
+                or decoded.traced != traced
             ):
                 stale.append(key)
         for key in stale:

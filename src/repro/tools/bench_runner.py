@@ -49,6 +49,7 @@ simulation time is reported.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -270,9 +271,11 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
     The simple engine and the warm fast/trace passes run best-of-two;
     the cold passes (first decode + compile) are timed once, each on an
     emptied process-wide code cache so neither reuses code an earlier
-    pass compiled.  Raises ``AssertionError`` unless all passes produced
-    identical facts — the bit-exactness contract every engine tier must
-    honour.
+    pass compiled.  Both trace passes share one fresh temporary disk
+    trace cache (``REPRO_CODE_CACHE``), so the cold pass starts empty
+    and the warm pass reuses what it wrote.  Raises ``AssertionError``
+    unless all passes produced identical facts — the bit-exactness
+    contract every engine tier must honour.
     """
     from repro.machine.engine import clear_code_cache
 
@@ -285,10 +288,21 @@ def measure_engine_speed(make_pass: Callable[[str], Iterable]) -> Dict:
         2, lambda: _suite_pass(make_pass("fast"))
     )
     clear_code_cache()
-    tcold_i, tcold_t, tcold_facts, tcold_stats = _suite_pass(make_pass("trace"))
-    twarm_i, twarm_t, twarm_facts, twarm_stats = _best_pass(
-        2, lambda: _suite_pass(make_pass("trace"))
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-codecache-") as disk_cache:
+        saved = os.environ.get("REPRO_CODE_CACHE")
+        os.environ["REPRO_CODE_CACHE"] = disk_cache
+        try:
+            tcold_i, tcold_t, tcold_facts, tcold_stats = _suite_pass(
+                make_pass("trace")
+            )
+            twarm_i, twarm_t, twarm_facts, twarm_stats = _best_pass(
+                2, lambda: _suite_pass(make_pass("trace"))
+            )
+        finally:
+            if saved is None:
+                del os.environ["REPRO_CODE_CACHE"]
+            else:
+                os.environ["REPRO_CODE_CACHE"] = saved
     passes = {
         "fast_cold": cold_facts,
         "fast_warm": warm_facts,
@@ -358,9 +372,11 @@ def measure_instrumented_speed(
     The headline number (``speedup_warm_flow``, the gate in
     ``BENCH_instrumented_speed.json``) is the warm fast-engine speedup
     on the flow-instrumented suite — the mode where every profiling
-    hook fuses into generated code.  Combined mode's per-context path
-    tables (``table == -1``) keep the closure fallback, so its speedup
-    reflects fused CCT hooks only.
+    hook fuses into generated code.  Combined mode fuses its CCT hooks
+    and, for functions whose path-table spec is an array, its
+    per-context commits (``table == -1``); hash-table specs keep the
+    closure fallback.  In every mode, cache hits are answered inside
+    generated code and only misses call the cache models.
     """
     from repro.machine.vm import Machine
 

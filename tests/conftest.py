@@ -163,6 +163,19 @@ CORPUS = {
 }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_code_cache(tmp_path_factory):
+    """Point the trace tier's disk code cache at a per-session temp dir.
+
+    Keeps test runs from reading or writing the user's cache; tests that
+    set ``REPRO_CODE_CACHE`` themselves (through ``monkeypatch``) still
+    override it and get this value back afterwards.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CODE_CACHE", str(tmp_path_factory.mktemp("codecache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def corpus_programs():
     """name -> freshly compiled Program factory (compile once per test use)."""

@@ -19,7 +19,7 @@ from repro.cct.merge import strict_form
 from repro.cct.runtime import CCTRuntime
 from repro.instrument.cctinstr import instrument_context
 from repro.instrument.pathinstr import instrument_paths
-from repro.instrument.tables import ProfilingRuntime
+from repro.instrument.tables import ProfilingRuntime, TableKind
 from repro.ir.asm import parse_program
 from repro.ir.instructions import Kind
 from repro.machine import engine
@@ -125,6 +125,62 @@ class TestKey:
                 )
                 keys.add(_key(machine))
         assert len(keys) == 4
+
+    def test_cache_geometry_is_keyed(self):
+        # The inline hit tests bake set masks and line shifts in.
+        program = parse_program(_LOOP)
+        configs = [
+            MachineConfig(),
+            MachineConfig(icache_size=8 * 1024),
+            MachineConfig(icache_assoc=4),
+            MachineConfig(dcache_size=8 * 1024),
+            MachineConfig(dcache_line=64),
+            MachineConfig(dcache_assoc=2),
+        ]
+        assert len({_key(Machine(program, config)) for config in configs}) == len(configs)
+
+    def test_tracer_attachment_is_keyed(self):
+        machine = Machine(parse_program(_LOOP))
+        untraced = _key(machine, "spin")
+        machine.tracer = object()
+        assert _key(machine, "spin") != untraced
+
+    def test_per_context_tables_fuse_and_are_keyed_by_spec(self):
+        program = parse_program(_LOOP)
+        runtime = ProfilingRuntime(MemoryMap().profiling.base)
+        instrument_context(program)
+        instrument_paths(
+            program, mode="hw", placement="simple", runtime=runtime, per_context=True
+        )
+        machine = Machine(program)
+        machine.path_runtime = runtime
+        hooks = [
+            (block.name, instr)
+            for block in program.functions["main"].blocks
+            for instr in block.instrs
+            if instr.kind in (Kind.PATH_COMMIT, Kind.HWC_ACCUM)
+        ]
+        assert hooks and all(instr.table == -1 for _b, instr in hooks)
+        committing = sorted({b for b, _instr in hooks})
+
+        def keys():
+            return {_key(machine, b) for b in committing}
+
+        # Without a CCT runtime the closure path (which raises) stays.
+        assert all(engine._fuse_plan(machine, i, "main") is None for _b, i in hooks)
+        no_cct = keys()
+        machine.cct_runtime = CCTRuntime(MemoryMap().cct.base, profiling=runtime)
+        plans = [engine._fuse_plan(machine, i, "main") for _b, i in hooks]
+        assert all(plan is not None and plan[1].capacity for plan in plans)
+        array = keys()
+        capacity, slots, kind = runtime.specs["main"]
+        runtime.specs["main"] = (capacity + 1, slots, kind)
+        grown = keys()
+        runtime.specs["main"] = (capacity, slots, TableKind.HASH)
+        assert all(engine._fuse_plan(machine, i, "main") is None for _b, i in hooks)
+        hashed = keys()
+        variants = [no_cct, array, grown, hashed]
+        assert len(set().union(*variants)) == len(committing) * len(variants)
 
     def test_function_and_block_names_are_keyed(self):
         machine = Machine(parse_program(_LOOP))

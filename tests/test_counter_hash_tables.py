@@ -121,14 +121,14 @@ def test_fast_engine_keeps_hash_tables_on_the_closure_path():
     machine = Machine(program, engine="fast")
     machine.path_runtime = runtime
     hooks = [
-        instr
+        (function.name, instr)
         for function in program.functions.values()
         for block in function.blocks
         for instr in block.instrs
         if instr.kind in _TABLE_KINDS
     ]
     assert hooks
-    assert all(_fuse_plan(machine, instr) is None for instr in hooks)
+    assert all(_fuse_plan(machine, instr, fname) is None for fname, instr in hooks)
 
 
 def test_hash_table_profiles_identical_across_engines():

@@ -35,10 +35,19 @@ class TestDirectMappedCache:
 
     def test_statistics(self):
         cache = DirectMappedCache(1024, 32)
-        for address in (0, 0, 32, 0):
-            cache.access(address)
-        assert cache.accesses == 4
+        hits = [cache.access(address) for address in (0, 0, 32, 0)]
+        assert hits == [False, True, False, True]
         assert cache.misses == 2
+
+    def test_mru_is_the_tag_list(self):
+        cache = DirectMappedCache(1024, 32)
+        assert cache.mru is cache.tags
+        cache.access(64)
+        assert cache.mru[2] == 2
+        mru = cache.mru
+        cache.flush()
+        # Generated code binds the list: flush resets it in place.
+        assert cache.mru is mru and mru == [-1] * cache.sets
 
     def test_paper_geometry(self):
         """16KB direct mapped with 32B lines: 512 sets (§6.4.1)."""
@@ -61,6 +70,33 @@ class TestSetAssociativeCache:
         cache.access(64)       # evicts 32 (LRU)
         assert cache.contains(0)
         assert not cache.contains(32)
+
+    def test_mru_tracks_promotion_and_eviction(self):
+        cache = SetAssociativeCache(2 * 32, 32, 2)  # 1 set, 2 ways
+        assert cache.mru == [-1]
+        cache.access(0)
+        assert cache.mru == [0]
+        cache.access(32)
+        assert cache.mru == [1]
+        assert cache.access(0)  # non-MRU hit: promoted
+        assert cache.mru == [0] and cache.ways[0] == [1, 0]
+        cache.access(64)  # evicts block 1 (LRU)
+        assert cache.mru == [2] and cache.ways[0] == [0, 2]
+        cache.access(96, allocate=False)  # miss without fill: unchanged
+        assert cache.mru == [2]
+        assert cache.misses == 4
+        mru = cache.mru
+        cache.flush()
+        assert cache.mru is mru and mru == [-1]
+
+    def test_mru_mirrors_lru_order(self):
+        import random
+
+        rng = random.Random(7)
+        cache = SetAssociativeCache(8 * 32, 32, 2)  # 4 sets
+        for _ in range(500):
+            cache.access(rng.randrange(64) * 32, allocate=rng.random() < 0.8)
+            assert cache.mru == [way[-1] if way else -1 for way in cache.ways]
 
     def test_assoc_avoids_direct_conflict(self):
         cache = SetAssociativeCache(1024, 32, 2)

@@ -228,6 +228,70 @@ class TestDiskCache:
         assert second.trace_stats["disk_cache_hits"] > 0
         assert second.trace_stats["traces_generated"] == 0
 
+    def test_generator_fingerprint_scopes_entries(self, tmp_path, monkeypatch):
+        """Code written by one generator never loads under another: the
+        generator digest is part of every disk key."""
+        from repro.machine import trace
+
+        monkeypatch.setenv("REPRO_CODE_CACHE", str(tmp_path))
+        first = Machine(hot_loop(), engine="trace")
+        first_result = first.run()
+        assert first.trace_stats["disk_cache_misses"] > 0
+
+        monkeypatch.setattr(trace, "GENERATOR_DIGEST", "another generator")
+        second = Machine(hot_loop(), engine="trace")
+        second_result = second.run()
+        assert second.trace_stats["disk_cache_hits"] == 0
+        assert second.trace_stats["traces_generated"] > 0
+        assert _facts(first_result) == _facts(second_result)
+
+        program = hot_loop()
+        machine = Machine(program)
+        function = program.functions["main"]
+        chain = list(function.blocks)
+        keys = set()
+        for digest in ("generator a", "generator b"):
+            monkeypatch.setattr(trace, "GENERATOR_DIGEST", digest)
+            keys.add(trace.disk_key(machine, function, chain, True))
+        assert len(keys) == 2
+
+    def test_generator_digest_covers_both_generators(self):
+        import hashlib
+
+        from repro.machine import engine, trace
+
+        digest = hashlib.sha256()
+        for module in (engine, trace):
+            with open(module.__file__, "rb") as source:
+                digest.update(source.read())
+        assert trace.GENERATOR_DIGEST == digest.hexdigest()
+
+    def test_engine_speed_trace_cold_starts_from_an_empty_disk_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """``measure_engine_speed`` runs its trace passes against a fresh
+        temporary disk cache: the cold pass misses even when the
+        configured cache already holds every trace, and the warm pass
+        reuses what the cold pass wrote."""
+        import os
+
+        from repro.tools.bench_runner import measure_engine_speed
+
+        monkeypatch.setenv("REPRO_CODE_CACHE", str(tmp_path))
+        Machine(hot_loop(), engine="trace").run()
+        seeded = sorted(os.listdir(tmp_path))
+        assert any(name.endswith(".bin") for name in seeded)
+
+        def make_pass(engine):
+            yield "hot_loop", Machine(hot_loop(), engine=engine)
+
+        payload = measure_engine_speed(make_pass)
+        assert payload["trace_cold"]["disk_cache_hits"] == 0
+        assert payload["trace_cold"]["disk_cache_misses"] > 0
+        assert payload["trace_warm"]["disk_cache_hits"] > 0
+        assert os.environ["REPRO_CODE_CACHE"] == str(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == seeded
+
     def test_disabled_cache_still_traces(self):
         machine = Machine(hot_loop(), engine="trace")
         machine.run()
